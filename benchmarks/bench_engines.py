@@ -3,7 +3,7 @@
 Not a paper table — these keep the performance-critical kernels honest:
 bit-parallel simulation (the BPFS engine), word-parallel observability,
 the CDCL miter, BDD construction, STA, technology mapping, and the
-end-to-end gain of the incremental timing/simulation engines inside GDO.
+gain of GDO's incremental trial timing over from-scratch STA.
 """
 
 import time
@@ -16,7 +16,7 @@ from conftest import register_report
 from repro.bdd import BddManager, build_signal_bdds
 from repro.obs import append_bench, bench_entry, git_sha
 from repro.circuits.registry import SMALL_SUITE, build
-from repro.opt import GdoConfig, gdo_optimize
+from repro.opt import EngineContext, GdoConfig, gdo_optimize, make_sta
 from repro.opt.report import format_result
 from repro.sat import miter_equivalent
 from repro.sim import BitSimulator, ObservabilityEngine
@@ -91,78 +91,84 @@ def test_mapping_throughput(benchmark, lib):
     assert mapped.num_gates > 0
 
 
-# The GDO end-to-end comparison: `GdoConfig.incremental` swaps the
-# maintained STA / dirty-cone simulation / retained observability rows
-# for full rebuilds, with bitwise-identical results by construction
-# (tests/opt/test_gdo_determinism.py).  SAT proofs are disabled because
-# their cost is engine-independent and would only dilute the ratio;
-# the modification sequence is still checked identical between modes.
-_GDO_BENCH = [
-    # (circuit, required end-to-end speedup; None = parity check only)
+# The trial-timing comparison: every trial edit GDO evaluates is timed
+# twice on the same edited netlist — by the maintained IncrementalSta's
+# undoable dirty-cone refresh (begin_trial, then reject_trial's undo)
+# and by a fresh Sta, the from-scratch rebuild it replaces.  Arrivals
+# and delay must agree exactly.  SAT proofs are disabled: they do not
+# touch the timing layer and only lengthen the run.
+_TRIAL_BENCH = [
+    # (circuit, required trial-timing speedup; None = parity check only)
     ("C1355", None),
     ("C5315", 2.0),  # largest benchmarked circuit
 ]
 
 
-def _fingerprint(result):
-    return (
-        [(h.phase, h.kind, h.description, h.delay_after, h.area_after)
-         for h in result.stats.history],
-        result.stats.delay_after,
-        result.stats.area_after,
-        sorted(result.net.gates),
-    )
+def _timed_trials(monkeypatch, clock):
+    begin, reject = EngineContext.begin_trial, EngineContext.reject_trial
+
+    def timed_begin(ctx, dirty, removed):
+        t0 = time.perf_counter()
+        sta = begin(ctx, dirty, removed)
+        t1 = time.perf_counter()
+        ref = make_sta(ctx.net, ctx.library, ctx.cfg)
+        t2 = time.perf_counter()
+        assert sta.delay == ref.delay and sta.arrival == ref.arrival
+        clock["incremental"] += t1 - t0
+        clock["scratch"] += t2 - t1
+        clock["trials"] += 1
+        return sta
+
+    def timed_reject(ctx):
+        t0 = time.perf_counter()
+        reject(ctx)
+        clock["incremental"] += time.perf_counter() - t0
+
+    monkeypatch.setattr(EngineContext, "begin_trial", timed_begin)
+    monkeypatch.setattr(EngineContext, "reject_trial", timed_reject)
 
 
-def test_gdo_incremental_speedup(lib):
-    """Both engine modes must adopt the same modifications; the
-    incremental mode must be >=2x faster end-to-end on the largest
-    circuit, with its engine counters visible in the report."""
-    rows = ["circuit   gates   scratch[s]   incremental[s]   speedup"]
+def test_gdo_incremental_speedup(lib, monkeypatch):
+    """On the trial edits of one GDO run, refresh+undo of the maintained
+    timing must be >=2x faster than building a fresh Sta of each edited
+    netlist on the largest circuit, with identical arrivals."""
+    rows = ["circuit   gates   trials   scratch[s]   incremental[s]   speedup"]
     flagship = None
-    for name, required in _GDO_BENCH:
+    for name, required in _TRIAL_BENCH:
         net = build(name)
-        runs = {}
-        for incremental in (False, True):
-            cfg = GdoConfig(incremental=incremental, n_words=16,
-                            max_rounds=2, proof="none", verify_final=False)
-            work = net.copy()
-            t0 = time.perf_counter()
-            result = gdo_optimize(work, lib, cfg)
-            runs[incremental] = (time.perf_counter() - t0, result)
-        t_scratch, r_scratch = runs[False]
-        t_inc, r_inc = runs[True]
-        assert _fingerprint(r_scratch) == _fingerprint(r_inc)
-        counters = r_inc.stats.engine
-        assert counters.sta_incremental > 0
-        assert counters.sim_incremental > 0
-        assert r_scratch.stats.engine.sta_incremental == 0
-        assert r_scratch.stats.engine.sim_incremental == 0
+        clock = {"scratch": 0.0, "incremental": 0.0, "trials": 0}
+        _timed_trials(monkeypatch, clock)
+        cfg = GdoConfig(n_words=16, max_rounds=2, proof="none",
+                        verify_final=False)
+        result = gdo_optimize(net.copy(), lib, cfg)
+        monkeypatch.undo()
+        assert clock["trials"] > 0
+        assert result.stats.engine.sta_incremental > 0
+        t_scratch, t_inc = clock["scratch"], clock["incremental"]
         speedup = t_scratch / t_inc
         rows.append(
-            f"{name:8} {net.num_gates:6d} {t_scratch:11.2f} "
-            f"{t_inc:15.2f} {speedup:8.2f}x"
+            f"{name:8} {net.num_gates:6d} {clock['trials']:8d} "
+            f"{t_scratch:11.2f} {t_inc:15.2f} {speedup:8.2f}x"
         )
         append_bench(
             str(Path(__file__).resolve().parent.parent
                 / "BENCH_engines.json"),
             bench_entry(
                 key=git_sha(), circuit=name, gates=net.num_gates,
-                scratch_seconds=round(t_scratch, 4),
-                incremental_seconds=round(t_inc, 4),
+                trials=clock["trials"],
+                trial_scratch_sta_seconds=round(t_scratch, 4),
+                trial_incremental_sta_seconds=round(t_inc, 4),
                 speedup=round(speedup, 3),
-                sta_incremental=counters.sta_incremental,
-                sim_incremental=counters.sim_incremental,
             ),
             key_fields=("key", "circuit"),
         )
         if required is not None:
             assert speedup >= required, (
-                f"{name}: incremental GDO only {speedup:.2f}x faster "
-                f"(needs >= {required}x)"
+                f"{name}: incremental trial timing only {speedup:.2f}x "
+                f"faster than a fresh Sta (needs >= {required}x)"
             )
-            flagship = r_inc
+            flagship = result
     report = "\n".join(rows)
     if flagship is not None:
         report += "\n\n" + format_result(flagship, lib)
-    register_report("GDO incremental vs from-scratch engines", report)
+    register_report("GDO trial timing: incremental vs fresh Sta", report)

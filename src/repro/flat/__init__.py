@@ -11,12 +11,14 @@ two numerically hottest GDO loops as vectorized matrix passes:
 * :mod:`repro.flat.flatsta` — the full arrival/required/slack sweep of
   static timing analysis over the level structure.
 
-Every kernel is bitwise-identical to its dict-engine counterpart (the
-contract ``tests/flat/test_differential.py`` enforces), so enabling
-them (``GdoConfig.flat``) cannot change a single optimizer decision —
-only how fast the decisions are computed.  Unsupported structures raise
-:class:`~repro.flat.view.FlatViewError` and the callers fall back to
-the dict engine per call, counted as ``flat_fallbacks``.
+GDO runs its full simulations, observability batches and from-scratch
+timing sweeps on these kernels.  Every kernel is bitwise-identical to
+its dict-engine reference (:class:`~repro.sim.bitsim.BitSimulator`,
+:class:`~repro.sim.observability.ObservabilityEngine`,
+:class:`~repro.timing.sta.Sta`; the contract
+``tests/flat/test_differential.py`` enforces).  Structures the array
+form cannot express raise :class:`~repro.flat.view.FlatViewError`,
+which propagates to the caller.
 """
 
 from .view import FlatView, FlatViewError, FUNC_CODES

@@ -19,10 +19,8 @@ harness in ``tests/flat/test_differential.py`` pins this.
 
 :class:`FlatObservabilityEngine` plugs the batch kernel into the GDO
 engine: it *prefetches* the observability rows of a pass's target list
-in one batch and serves them from the standard row caches; anything
-the batch could not cover (stale view, unsupported structure) falls
-back to the inherited per-cone dict path, counted in
-``flat_fallbacks``.
+in one batch and serves them from the standard row caches; refs that
+were not prefetched are derived by the inherited per-cone path.
 """
 
 from __future__ import annotations
@@ -216,19 +214,17 @@ class FlatObservabilityEngine(ObservabilityEngine):
 
     :meth:`prefetch` computes the rows of a pass's target refs in one
     3-D sweep and installs them in the inherited stem/branch caches;
-    subsequent ``observability(ref)`` calls are cache hits.  Refs the
-    flat path cannot serve (stale or unbuildable view) fall back to the
-    inherited per-cone resimulation, so behaviour — and every word —
-    is identical either way.  ``flat_hits``/``flat_fallbacks`` count
-    batch-served rows vs. fallback events for the engine report.
+    subsequent ``observability(ref)`` calls are cache hits.  Refs that
+    were not prefetched are derived lazily by the inherited per-cone
+    resimulation — every word is identical either way.  A sim snapshot
+    that no longer matches the netlist structure raises
+    :class:`FlatViewError`.
     """
 
     def __init__(self, sim: BitSimulator, state: SimState,
                  view: Optional[FlatView] = None):
         super().__init__(sim, state)
         self._view = view
-        self.flat_hits = 0
-        self.flat_fallbacks = 0
 
     def _current_view(self) -> FlatView:
         view = self._view
@@ -257,19 +253,13 @@ class FlatObservabilityEngine(ObservabilityEngine):
                 todo.append(ref)
         if not todo:
             return
-        try:
-            view = self._current_view()
-            rows = batch_observability(view, self.state.values, todo)
-        except FlatViewError:
-            self.flat_fallbacks += 1
-            return  # lazy dict path serves the rows instead
+        rows = batch_observability(self._current_view(), self.state.values,
+                                   todo)
         for ref, row in zip(todo, rows):
             if isinstance(ref, Branch):
                 self._branch_cache[(ref.gate, ref.pin)] = row
             else:
                 self._stem_cache[ref] = row
         # The lazy path would have derived exactly these rows one cone
-        # at a time, so count them in ``computed`` as well — engine
-        # counters stay comparable between flat on and off.
+        # at a time, so count them in ``computed`` as well.
         self.computed += len(todo)
-        self.flat_hits += len(todo)

@@ -19,8 +19,7 @@ incrementally — rebuilding is one O(net) pass and edits between passes
 are batched.
 
 Structures the array form cannot express (non-singleton gate
-functions, dangling inputs, undriven POs) raise :class:`FlatViewError`;
-callers treat that as "fall back to the dict engine for this call".
+functions, dangling inputs, undriven POs) raise :class:`FlatViewError`.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ CODE_NAMES: Tuple[str, ...] = tuple(f.name for f in ALL_FUNCS)
 
 
 class FlatViewError(Exception):
-    """The netlist cannot be represented as flat arrays (callers fall
-    back to the dict engine for the current call)."""
+    """The netlist cannot be represented as flat arrays."""
 
 
 class FlatView:

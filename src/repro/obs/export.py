@@ -22,8 +22,7 @@ GDO entry schema (validated by :func:`validate_gdo_entry`)::
                  "cache_misses": n, "hit_rate": f},
       "funnel": {"generated": n, "static_proved": n,
                  "static_refuted": n, "to_bpfs": n,
-                 "bpfs_survived": n, "proved": n, "committed": n},
-      "flat": {"hits": n, "fallbacks": n}
+                 "bpfs_survived": n, "proved": n, "committed": n}
     }
 """
 
@@ -109,10 +108,6 @@ def gdo_entry(result, key: Optional[str] = None) -> dict:
             "hit_rate": p.hit_rate,
         },
         "funnel": funnel_counts(snapshot),
-        "flat": {
-            "hits": s.engine.flat_hits,
-            "fallbacks": s.engine.flat_fallbacks,
-        },
     }
     validate_gdo_entry(entry)
     return entry
@@ -136,12 +131,11 @@ _GDO_FIELDS = {
     "area_before": (int, float), "area_after": (int, float),
     "mods": int, "rounds": int, "seconds": (int, float),
     "phase_seconds": dict, "hot_spans": list,
-    "broker": dict, "funnel": dict, "flat": dict,
+    "broker": dict, "funnel": dict,
 }
 _BROKER_FIELDS = ("dispatched", "cache_hits", "cache_misses", "hit_rate")
 _FUNNEL_FIELDS = ("generated", "static_proved", "static_refuted",
                   "to_bpfs", "bpfs_survived", "proved", "committed")
-_FLAT_FIELDS = ("hits", "fallbacks")
 
 
 def validate_bench_entry(entry: dict) -> None:
@@ -232,9 +226,6 @@ def validate_gdo_entry(entry: dict) -> None:
     for field in _FUNNEL_FIELDS:
         if field not in entry["funnel"]:
             raise ExportSchemaError(f"gdo entry funnel missing {field!r}")
-    for field in _FLAT_FIELDS:
-        if field not in entry["flat"]:
-            raise ExportSchemaError(f"gdo entry flat missing {field!r}")
     for span in entry["hot_spans"]:
         if not isinstance(span, dict) or "name" not in span \
                 or "wall_s" not in span:

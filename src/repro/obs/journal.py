@@ -43,7 +43,7 @@ RECORD_SCHEMA: Dict[str, frozenset] = {
     "trial": frozenset({"phase", "kind", "desc"}),
     # Trial edit forced a from-scratch timing recompute
     # (dirty_fraction).  Classified from the edit's dirty set alone, so
-    # the record appears identically under every engine mode.
+    # the record appears identically under every worker count.
     "sta_scratch": frozenset({"cause", "dirty"}),
     # Trial edit touched a PI fanout cone root — handled in-cone by the
     # incremental sweep, journaled so the trigger is no longer silent.

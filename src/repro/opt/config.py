@@ -23,19 +23,6 @@ class GdoConfig:
     n_words: int = 16          # 64 vectors per word
     seed: int = 0
 
-    # --- engine ---
-    # Maintain timing/simulation state across modifications with
-    # dirty-cone refreshes instead of from-scratch rebuilds.  Both
-    # settings compute identical results (same mod sequence, same final
-    # delay/area); see DESIGN.md "Incremental engine".
-    incremental: bool = True
-    # Run full simulations, BPFS observability batches, and from-scratch
-    # timing sweeps on the levelized flat-array kernels (repro.flat;
-    # DESIGN.md §9).  Bitwise-identical to the dict engine, so journals
-    # and commit sequences are unchanged; unsupported structures fall
-    # back to the dict path per call (counted in engine.flat_fallbacks).
-    flat: bool = True
-
     # --- candidate enumeration ---
     include_xor: bool = True
     use_c2_reduction: bool = True
@@ -74,18 +61,14 @@ class GdoConfig:
     # verdicts and the modification sequence are unaffected.
     proof_retry_delay: float = 0.0
     proof_retry_jitter: float = 0.5
-    # Verdict LRU entries, and an optional JSON file persisting the
-    # definitive (valid/invalid) verdicts across runs.
+    # Verdict LRU entries.
     proof_cache_size: int = 4096
-    proof_cache_path: Optional[str] = None
-    # Root of a sharded verdict store (repro.service.store) shared by
-    # concurrent clients; takes precedence over proof_cache_path.  The
-    # optimization service sets this for every worker so proof work is
-    # shared across jobs, runs, and client processes.
+    # Root of a sharded verdict store (repro.service.store) persisting
+    # the definitive (valid/invalid) verdicts across runs and sharing
+    # them between concurrent clients.  The optimization service sets
+    # this for every worker so proof work is shared across jobs, runs,
+    # and client processes.
     proof_store_path: Optional[str] = None
-    # Re-tail the store's shard on a cache miss, picking up verdicts
-    # other clients appended since the last look (cross-client hits).
-    proof_store_refresh: bool = True
 
     # --- static analysis (see repro.analysis and DESIGN.md §8) ---
     # Invariant checking of the live netlist during the run:
@@ -165,7 +148,6 @@ class GdoConfig:
             cache = ShardedProofCache(
                 ShardedVerdictStore(self.proof_store_path),
                 max_entries=self.proof_cache_size,
-                refresh_on_miss=self.proof_store_refresh,
             )
         return ProofBroker(
             mode=self.proof,
@@ -177,7 +159,6 @@ class GdoConfig:
             retry_delay=self.proof_retry_delay,
             retry_jitter=self.proof_retry_jitter,
             cache_size=self.proof_cache_size,
-            cache_path=self.proof_cache_path,
             cache=cache,
         )
 
@@ -197,7 +178,7 @@ class GdoConfig:
         oversubscribe), and run observability off: partition decisions
         are journaled by the master coordinator, and region-local
         journals would interleave by scheduling.  Everything else —
-        seed, engine mode, enumeration caps, proof knobs including the
+        seed, enumeration caps, proof knobs including the
         shared ``proof_store_path`` — is inherited, so every region
         still shares verdicts through the sharded store.
         """
@@ -236,8 +217,6 @@ class EngineCounters:
     sim_signals_changed: int = 0   # word rows rewritten by carry-overs
     obs_rows_computed: int = 0     # observability rows resimulated
     obs_rows_reused: int = 0       # rows carried across engine refreshes
-    flat_hits: int = 0             # calls served by flat-array kernels
-    flat_fallbacks: int = 0        # flat calls that fell back to dicts
     sta_pi_root: int = 0           # trial edits touching a PI fanout root
 
 

@@ -1,23 +1,19 @@
-"""Engine plumbing for GDO: from-scratch vs. incremental updates.
+"""Engine plumbing for GDO: incremental timing and simulation state.
 
 The paper's inner loop re-anchors timing and simulation "after every
 accepted modification" (Sec. 5).  :class:`EngineContext` centralizes
-that re-anchoring behind one interface with two implementations selected
-by ``GdoConfig.incremental``:
+that re-anchoring: one :class:`~repro.timing.incremental.IncrementalSta`
+is maintained across modifications (in-place trial edits refresh it
+undoably), trial refutation resimulates only the substitution cone of
+the epoch's base sim, the checkout simulator state is carried over with
+dirty-cone re-evaluation, and cached observability rows survive
+refreshes when their cone is untouched.  Full simulations run on the
+flat-array kernels (:mod:`repro.flat`).
 
-* **from scratch** — every checkout rebuilds ``Sta``, the compiled
-  simulator, and the observability engine, and every trial edit is
-  timed by a fresh ``Sta`` and refuted by a full simulation;
-* **incremental** — one :class:`~repro.timing.incremental.IncrementalSta`
-  is maintained across modifications (in-place trial edits refresh it
-  undoably), trial refutation resimulates only the substitution cone of
-  the epoch's base sim, the checkout simulator state is carried over
-  with dirty-cone re-evaluation, and cached observability rows survive
-  refreshes when their cone is untouched.
-
-Both modes consume the same seed stream and compute bitwise-identical
-values, so they produce the same modification sequence — enforced by
-``tests/opt/test_gdo_determinism.py``.
+Every refresh re-runs the exact float/bit expressions of a rebuild, so
+the maintained state equals a fresh ``Sta``/``BitSimulator`` after each
+commit — checked by
+``tests/opt/test_gdo_determinism.py::test_incremental_matches_scratch``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from ..analysis.static_refuter import UNKNOWN, StaticRefuter
 from ..clauses.candidates import CandidateEnumerator
 from ..clauses.pvcc import Candidate
 from ..flat.batchsim import FlatObservabilityEngine, flat_simulate
-from ..flat.view import FlatView, FlatViewError
+from ..flat.view import FlatView
 from ..library.cells import TechLibrary
 from ..netlist.netlist import Branch, Netlist
 from ..obs import Observability
@@ -75,7 +71,6 @@ class EngineContext:
         self.library = library
         self.cfg = cfg
         self.stats = stats
-        self.incremental = cfg.incremental
         # Per-run observability (tracer/metrics/journal per cfg.obs);
         # threaded through every engine layer and detached in finish().
         self.obs = Observability.from_config(cfg.obs)
@@ -104,37 +99,30 @@ class EngineContext:
         # identical with and without resume.
         self._refute_seed: Optional[int] = None
         self._trial_undo: Optional[StaTrialUndo] = None
-        self._sta: Optional[IncrementalSta] = None
         # Static funnel stage (repro.analysis): rebuilt lazily per
         # netlist state, discarded on commit.  Inactive with
         # proof="none" — there is no broker work to discharge.
         self._static: Optional[StaticRefuter] = None
         self._static_enabled = cfg.static_funnel and cfg.proof != "none"
         self._check_counter = 0
-        if self.incremental:
-            self._sta = IncrementalSta(net, library,
-                                       po_load=cfg.po_load, eps=cfg.eps,
-                                       flat=cfg.flat)
-            self._sta.metrics = self.obs.metrics
-            self._drain_sta(self._sta)
+        self._sta = IncrementalSta(net, library,
+                                   po_load=cfg.po_load, eps=cfg.eps)
+        self._sta.metrics = self.obs.metrics
+        self._drain_sta(self._sta)
 
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
     def timing(self) -> Sta:
-        """Timing snapshot of the current net (maintained or rebuilt)."""
-        if not self.incremental:
-            self.stats.engine.sta_scratch += 1
-            return make_sta(self.net, self.library, self.cfg)
+        """The maintained timing annotation of the current net."""
         return self._sta
 
     def begin_trial(self, dirty: Set[str], removed: Set[str]) -> Sta:
         """Timing of the net after an in-place trial edit.
 
-        Incremental mode refreshes the maintained annotation undoably
-        (forward sweep over the dirty cone, required times deferred);
-        from-scratch mode builds a fresh :class:`Sta` of the edited net.
-        The caller must follow up with :meth:`reject_trial` (undo) or
+        Refreshes the maintained annotation undoably (forward sweep over
+        the dirty cone, required times deferred).  The caller must
+        follow up with :meth:`reject_trial` (undo) or
         :meth:`commit_trial` (keep) before the next trial.
 
         Noteworthy trial edits are journaled here: dirty sets covering
@@ -144,8 +132,7 @@ class EngineContext:
         a silent scratch fallback — are counted and journaled as
         ``sta_pi_root`` records.  Both classifications are pure
         functions of the edit, so the record sequence is identical
-        under scratch/incremental engines, flat on/off, and any worker
-        count.
+        under any worker count.
         """
         live = {s for s in dirty if self.net.has_signal(s)}
         event = IncrementalSta.trial_event(self.net, live)
@@ -155,16 +142,13 @@ class EngineContext:
         elif event == "pi_root":
             self.obs.journal.record("sta_pi_root", dirty=len(live))
             self.stats.engine.sta_pi_root += 1
-        if not self.incremental:
-            self.stats.engine.sta_scratch += 1
-            return make_sta(self.net, self.library, self.cfg)
         assert self._trial_undo is None, "unfinished trial"
         self._trial_undo = self._sta.refresh_trial(dirty, removed)
         self._drain_sta(self._sta)
         return self._sta
 
     def reject_trial(self) -> None:
-        """Restore the pre-trial timing annotation (incremental mode)."""
+        """Restore the pre-trial timing annotation."""
         if self._trial_undo is not None:
             self._trial_undo.apply()
             self._trial_undo = None
@@ -174,11 +158,8 @@ class EngineContext:
         e.sta_scratch += sta.scratch_updates
         e.sta_incremental += sta.incremental_updates
         e.sta_signals_touched += sta.signals_touched
-        e.flat_hits += sta.flat_hits
-        e.flat_fallbacks += sta.flat_fallbacks
         sta.scratch_updates = sta.incremental_updates = 0
         sta.signals_touched = 0
-        sta.flat_hits = sta.flat_fallbacks = 0
 
     # ------------------------------------------------------------------
     # simulation / observability
@@ -197,7 +178,7 @@ class EngineContext:
         to the current net and the current phase's vectors."""
         cfg = self.cfg
         counters = self.stats.engine
-        if self.incremental and self._engine is not None:
+        if self._engine is not None:
             if self._pending or self._pending_removed:
                 dirty = set(self._pending)
                 sim, state, changed = BitSimulator.incremental(
@@ -217,10 +198,7 @@ class EngineContext:
                 sim = BitSimulator(self.net)
                 state = self._scratch_state(sim, self._phase_seed)
             self._sim, self._state = sim, state
-            engine_cls = (
-                FlatObservabilityEngine if cfg.flat else ObservabilityEngine
-            )
-            self._engine = engine_cls(sim, state)
+            self._engine = FlatObservabilityEngine(sim, state)
             counters.sim_scratch += 1
             self.obs.metrics.counter("sim_scratch_rebuilds",
                                      site="checkout").inc()
@@ -244,39 +222,24 @@ class EngineContext:
         if self._engine is not None:
             self.stats.engine.obs_rows_computed += self._engine.computed
             self.stats.engine.obs_rows_reused += self._engine.reused
-            self.stats.engine.flat_hits += getattr(
-                self._engine, "flat_hits", 0)
-            self.stats.engine.flat_fallbacks += getattr(
-                self._engine, "flat_fallbacks", 0)
             self._engine = None
 
     def _scratch_state(self, sim: BitSimulator, seed: int) -> SimState:
-        """Full simulation of the current net on the seed's word batch —
-        one vectorized level sweep when the flat kernels are on (same
-        words, bitwise-identical values), the compiled gate loop
-        otherwise or on fallback."""
+        """Full simulation of the current net on the seed's word batch:
+        one vectorized level sweep (bitwise what ``sim.simulate`` would
+        compute on the same words)."""
         words = random_words(self.net.pis, self.cfg.n_words, seed)
-        if self.cfg.flat:
-            try:
-                view = FlatView.build(self.net)
-                values = flat_simulate(view, words)
-            except FlatViewError:
-                self.stats.engine.flat_fallbacks += 1
-            else:
-                self.stats.engine.flat_hits += 1
-                return SimState(sim, values)
-        return sim.simulate(words)
+        return SimState(sim, flat_simulate(FlatView.build(self.net), words))
 
     def prefetch_observability(self, refs: Iterable[SignalRef]) -> None:
-        """Batch-compute the observability rows of a pass's target refs
-        (flat engine only; a no-op otherwise).  Rows are bitwise what
-        the lazy per-cone path would derive, so enumeration decisions —
-        and journals — are unchanged; only the loop shape differs.
+        """Batch-compute the observability rows of a pass's target refs.
+        Rows are bitwise what the lazy per-cone path would derive, so
+        enumeration decisions — and journals — are unchanged; only the
+        loop shape differs.
         """
-        engine = self._engine
-        if engine is not None and hasattr(engine, "prefetch"):
+        if self._engine is not None:
             with self.obs.span("sim.obs_prefetch"):
-                engine.prefetch(refs)
+                self._engine.prefetch(refs)
 
     # ------------------------------------------------------------------
     # refutation (the pre-proof random-word filter)
@@ -285,7 +248,7 @@ class EngineContext:
         """Simulate the base netlist for this adoption epoch, if not done.
 
         Must run *before* the trial edit mutates the net — the base sim
-        is the reference both modes compare trials against.
+        is the reference trials are compared against.
 
         ``simulate=False`` (journal replay: the refutation outcome will
         come from the records) draws the epoch's seed without building
@@ -313,35 +276,23 @@ class EngineContext:
         """True if the epoch's random vectors distinguish the applied
         trial edit from the base netlist.
 
-        Incremental mode resimulates only the substitution's fanout cone
-        of the *base* sim with the replacement's word value overriding
-        the target — the edited net is never compiled.  From-scratch
-        mode compiles and fully simulates the edited net on the same
-        words.  Both compute the trial's exact PO words, so the verdicts
-        are identical.
+        Resimulates only the substitution's fanout cone of the *base*
+        sim with the replacement's word value overriding the target —
+        the edited net is never compiled, yet the trial's exact PO words
+        are computed.
         """
         sim, state = self._refute_base
         counters = self.stats.engine
-        if self.incremental:
-            word = self._replacement_word(state, cand)
-            if isinstance(cand.target, Branch):
-                sink = (sim.index_of[cand.target.gate], cand.target.pin)
-                overrides = sim.resimulate_cone(
-                    state, edit.old_branch_signal, word, sink_filter=sink)
-            else:
-                overrides = sim.resimulate_cone(state, cand.target, word)
-            counters.sim_incremental += 1
-            counters.sim_signals_changed += len(overrides)
-            return bool(np.any(sim.po_difference(state, overrides)))
-        words = {pi: state.word(pi) for pi in self.net.pis}
-        t_state = BitSimulator(self.net).simulate(words)
-        counters.sim_scratch += 1
-        self.obs.metrics.counter("sim_scratch_rebuilds",
-                                 site="refute").inc()
-        for l_po, r_po in zip(sim.pos, self.net.pos):
-            if np.any(state.word(l_po) ^ t_state.word(r_po)):
-                return True
-        return False
+        word = self._replacement_word(state, cand)
+        if isinstance(cand.target, Branch):
+            sink = (sim.index_of[cand.target.gate], cand.target.pin)
+            overrides = sim.resimulate_cone(
+                state, edit.old_branch_signal, word, sink_filter=sink)
+        else:
+            overrides = sim.resimulate_cone(state, cand.target, word)
+        counters.sim_incremental += 1
+        counters.sim_signals_changed += len(overrides)
+        return bool(np.any(sim.po_difference(state, overrides)))
 
     @staticmethod
     def _replacement_word(state, cand: Candidate) -> np.ndarray:
@@ -425,8 +376,7 @@ class EngineContext:
         snapshots it onto ``stats.obs``.
         """
         self._retire_engine()
-        if self._sta is not None:
-            self._drain_sta(self._sta)
+        self._drain_sta(self._sta)
         if self.broker is not None:
             self.stats.proof.merge(self.broker.take_counters())
             # Detach this run's observability — the broker may be

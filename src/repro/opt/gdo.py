@@ -550,11 +550,14 @@ class _GdoRunner:
         with self.obs.span("gdo.prefetch"):
             obligations = []
             budget = self.cfg.prefetch_limit
-            # Trial-applies below consume fresh names; restore the
-            # counter so prefetch leaves the net bit-identical to a run
+            # Trial-applies below consume fresh names and undo() moves
+            # rewired readers to the end of their reader lists; restore
+            # both so prefetch leaves the net bit-identical to a run
             # without it (workers=1 skips prefetch entirely and must
-            # stay in lockstep).
+            # stay in lockstep — load sums follow reader order).
             name_counter = self.net._name_counter
+            readers = {s: list(r)
+                       for s, r in self.net.fanout_map().items()}
             try:
                 for cand in candidates:
                     if len(obligations) >= budget:
@@ -590,4 +593,7 @@ class _GdoRunner:
                         build_obligation(l_cone, r_cone, cand))
             finally:
                 self.net._name_counter = name_counter
+                fan = self.net.fanout_map()
+                fan.clear()
+                fan.update(readers)
             broker.prove_batch(obligations)

@@ -58,18 +58,13 @@ def format_result(result: GdoResult, library: TechLibrary,
         f"  engine: sta {e.sta_incremental} incremental / "
         f"{e.sta_scratch} scratch ({e.sta_signals_touched} signals), "
         f"sim {e.sim_incremental} incremental / {e.sim_scratch} scratch "
-        f"({e.sim_signals_changed} signals)"
+        f"({e.sim_signals_changed} signals), "
+        f"{e.sta_pi_root} PI-root trials"
     )
     lines.append(
         f"  observability rows: {e.obs_rows_reused} reused, "
         f"{e.obs_rows_computed} computed"
     )
-    if e.flat_hits or e.flat_fallbacks:
-        lines.append(
-            f"  flat kernels: {e.flat_hits} hits, "
-            f"{e.flat_fallbacks} fallbacks, "
-            f"{e.sta_pi_root} PI-root trials"
-        )
     p = s.proof
     lines.append(
         f"  proof broker: {p.dispatched} dispatched "

@@ -7,8 +7,9 @@ serial prove-on-demand bottleneck into scheduled work:
 * **dedupe** — obligations are keyed by the structural hash of their
   canonical cones; re-enumerated candidates and repeated passes never
   prove the same obligation twice;
-* **cache** — verdicts live in an LRU (plus an optional persistent
-  store for definitive verdicts), so warm reruns skip proving entirely;
+* **cache** — verdicts live in an LRU (plus, with ``proof_store_path``,
+  the sharded store persisting definitive verdicts), so warm reruns
+  skip proving entirely;
 * **batch + fan out** — a pass's top-ranked obligations are dispatched
   in one batch over a ``multiprocessing`` fork pool (``proof_workers``);
 * **graceful degradation** — every attempt maps budget overflow to
@@ -105,7 +106,6 @@ class ProofBroker:
         retry_delay: float = 0.0,
         retry_jitter: float = 0.5,
         cache_size: int = 4096,
-        cache_path: Optional[str] = None,
         cache=None,
     ):
         if mode not in ("sat", "bdd", "auto", "none"):
@@ -122,7 +122,7 @@ class ProofBroker:
         # hands every worker a ShardedProofCache over one shared store;
         # by default the broker owns a private ProofCache.
         self.cache = cache if cache is not None else \
-            ProofCache(max_entries=cache_size, path=cache_path)
+            ProofCache(max_entries=cache_size)
         self.counters = ProofCounters()
         self._pool = None
         self._pool_broken = False

@@ -1,96 +1,32 @@
-"""Verdict caches keyed by obligation structural hash.
+"""In-memory verdict cache keyed by obligation structural hash.
 
-Two layers:
-
-* an in-memory LRU holding *all* verdicts of the current process —
-  within one process the ladder budgets are fixed, so even ``unknown``
-  is a sound memo;
-* an optional on-disk JSON store holding only the *definitive* verdicts
-  (``valid`` / ``invalid``).  Definitive verdicts are independent of
-  the budget ladder that produced them, so they transfer across runs
-  and across configurations; ``unknown`` does not (a later run with a
-  bigger budget may decide it) and is never persisted.
+Within one process the ladder budgets are fixed, so the LRU holds *all*
+verdicts, even ``unknown``, as a sound memo.  Persistence across runs
+and sharing between processes is the job of the sharded verdict store
+(:mod:`repro.service.store`, selected by ``GdoConfig.proof_store_path``),
+whose :class:`~repro.service.store.ShardedProofCache` extends this LRU
+and persists only the *definitive* verdicts (``valid`` / ``invalid``):
+``unknown`` is budget-relative, and a later run with a bigger budget
+may decide it.
 
 Invalidation needs no bookkeeping: keys are content hashes of the
 canonical cones (see :mod:`repro.proof.obligation`), so a netlist edit
 that changes a cone changes the key, and stale entries simply stop
 being referenced until the LRU evicts them.
-
-``flush`` *merges* with the file's current contents under an advisory
-lock before writing: two processes sharing one ``proof_cache_path``
-each contribute their verdicts instead of the last writer clobbering
-the other's (verdicts are pure functions of the key, so a merge can
-never conflict).  The single-JSON mirror remains the compatibility
-shim; the service's sharded store
-(:mod:`repro.service.store`) is the concurrent-first replacement.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import tempfile
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional
-
-from .backends import INVALID, VALID
-
-
-def _read_definitive(path: str) -> Dict[str, str]:
-    """The definitive verdicts in a mirror file (empty on any damage)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict):
-        return {}
-    return {k: v for k, v in data.items() if v in (VALID, INVALID)}
-
-
-@contextlib.contextmanager
-def _flush_lock(path: str) -> Iterator[None]:
-    """Advisory exclusive lock serializing flushes on one mirror file.
-
-    Best-effort: platforms without ``fcntl`` (or unlockable filesystems)
-    fall back to unlocked merge-then-rename, which still never *drops*
-    this process's verdicts — concurrent flushers may then race on each
-    other's, the pre-fix behaviour, instead of corrupting the file.
-    """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX
-        yield
-        return
-    lock_path = path + ".lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-    except OSError:  # pragma: no cover - unwritable directory
-        yield
-        return
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-        except OSError:  # pragma: no cover - e.g. NFS without locks
-            pass
-        yield
-    finally:
-        os.close(fd)
+from typing import Optional
 
 
 class ProofCache:
-    """LRU verdict memo with an optional persistent JSON mirror."""
+    """LRU verdict memo of one process."""
 
-    def __init__(self, max_entries: int = 4096,
-                 path: Optional[str] = None):
+    def __init__(self, max_entries: int = 4096):
         self.max_entries = max(1, max_entries)
-        self.path = path
         self._mem: "OrderedDict[str, str]" = OrderedDict()
-        self._disk: Dict[str, str] = {}
-        self._disk_dirty = False
-        if path is not None and os.path.exists(path):
-            self._disk = _read_definitive(path)
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -100,49 +36,13 @@ class ProofCache:
         verdict = self._mem.get(key)
         if verdict is not None:
             self._mem.move_to_end(key)
-            return verdict
-        verdict = self._disk.get(key)
-        if verdict is not None:
-            # Promote so later hits stay in memory.
-            self._put_mem(key, verdict)
         return verdict
 
     def put(self, key: str, verdict: str) -> None:
-        self._put_mem(key, verdict)
-        if self.path is not None and verdict in (VALID, INVALID) and \
-                self._disk.get(key) != verdict:
-            self._disk[key] = verdict
-            self._disk_dirty = True
-
-    def _put_mem(self, key: str, verdict: str) -> None:
         self._mem[key] = verdict
         self._mem.move_to_end(key)
         while len(self._mem) > self.max_entries:
             self._mem.popitem(last=False)
 
     def flush(self) -> None:
-        """Merge this process's verdicts into the mirror atomically.
-
-        Read-merge-write under :func:`_flush_lock`, then tmp + rename:
-        verdicts flushed by other processes since our load are folded in
-        rather than overwritten, and readers never see a torn file.
-        """
-        if self.path is None or not self._disk_dirty:
-            return
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with _flush_lock(self.path):
-            merged = _read_definitive(self.path)
-            merged.update(self._disk)
-            self._disk = merged
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(merged, fh)
-                os.replace(tmp, self.path)
-                self._disk_dirty = False
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        """Nothing to persist; stores override this."""

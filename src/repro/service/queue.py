@@ -83,8 +83,7 @@ class JobSpec:
     library: str = "mcnc_like"
     config: Dict[str, object] = field(default_factory=dict)
 
-    _FORBIDDEN = frozenset(
-        {"obs", "proof_store_path", "proof_cache_path"})
+    _FORBIDDEN = frozenset({"obs", "proof_store_path"})
 
     def validate(self) -> None:
         from ..io import FORMATS

@@ -1,9 +1,8 @@
 """Sharded persistent verdict store shared by every service worker.
 
-The single-JSON :class:`~repro.proof.cache.ProofCache` mirror is a
-read-modify-write file — fine for one process, a serialization point
-(and, pre-fix, a clobbering hazard) for many.  The service replaces it
-with a store laid out for concurrent writers::
+This is the one persistent verdict store: GDO runs reach it through
+``GdoConfig.proof_store_path``, and the optimization service points
+every worker at one root.  It is laid out for concurrent writers::
 
     <root>/
       shards/<prefix>/base.json                   # compacted snapshot
@@ -39,12 +38,12 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import fault, register_point
 from ..proof.backends import INVALID, VALID
+from ..proof.cache import ProofCache
 
 _HEX = "0123456789abcdef"
 
@@ -630,54 +629,41 @@ def _read_base_meta(path: str) -> Tuple[Dict[str, int], int]:
 # ----------------------------------------------------------------------
 # broker adapter
 # ----------------------------------------------------------------------
-class ShardedProofCache:
-    """:class:`~repro.proof.cache.ProofCache`-compatible adapter over a
-    :class:`ShardedVerdictStore`.
+class ShardedProofCache(ProofCache):
+    """The broker's :class:`~repro.proof.cache.ProofCache` LRU backed by
+    a :class:`ShardedVerdictStore`.
 
-    Same interface the broker consumes (``get``/``put``/``flush``/
-    ``len``), backed by the shared store instead of a private JSON
-    mirror.  ``shared_hits`` counts gets served from the *store* —
-    verdicts this process never computed, i.e. cross-client cache
-    sharing — separately from in-memory LRU hits.
+    A miss in the LRU re-tails the key's shard, picking up verdicts
+    other clients appended since the last look; definitive verdicts are
+    appended to the store.  ``shared_hits`` counts gets served from the
+    *store* — verdicts this process never computed, i.e. cross-client
+    cache sharing — separately from in-memory LRU hits.
     """
 
     def __init__(self, store: ShardedVerdictStore,
-                 max_entries: int = 4096, refresh_on_miss: bool = True):
+                 max_entries: int = 4096):
+        super().__init__(max_entries)
         self.store = store
-        self.max_entries = max(1, max_entries)
-        self.refresh_on_miss = refresh_on_miss
-        self.path = store.root  # parity with ProofCache.path
-        self._mem: "OrderedDict[str, str]" = OrderedDict()
         self.shared_hits = 0
         self.local_hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._mem)
-
     def get(self, key: str) -> Optional[str]:
-        verdict = self._mem.get(key)
+        verdict = super().get(key)
         if verdict is not None:
-            self._mem.move_to_end(key)
             self.local_hits += 1
             return verdict
-        verdict = self.store.get(key, refresh=self.refresh_on_miss)
+        verdict = self.store.get(key, refresh=True)
         if verdict is not None:
             self.shared_hits += 1
-            self._put_mem(key, verdict)
+            super().put(key, verdict)
             return verdict
         self.misses += 1
         return None
 
     def put(self, key: str, verdict: str) -> None:
-        self._put_mem(key, verdict)
+        super().put(key, verdict)
         self.store.append(key, verdict)  # refuses non-definitive
-
-    def _put_mem(self, key: str, verdict: str) -> None:
-        self._mem[key] = verdict
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.max_entries:
-            self._mem.popitem(last=False)
 
     @property
     def shared_hit_rate(self) -> float:

@@ -37,12 +37,12 @@ Invariants (see DESIGN.md, "Incremental engine"):
   counted here and journaled by the GDO engine (``sta_pi_root``
   records); ``"dirty_fraction"`` trials take the from-scratch path and
   are journaled as ``sta_scratch``.
-* With ``flat=True`` the from-scratch recomputes run the vectorized
-  level-sweep of :mod:`repro.flat.flatsta` and convert the arrays back
-  into the annotation dicts; the arrays are bitwise-identical to the
-  dict recurrences, so everything downstream is unchanged.  Structures
-  the flat view cannot express fall back to the dict pass per call
-  (counted in ``flat_fallbacks``).
+* From-scratch recomputes run the vectorized level sweep of
+  :mod:`repro.flat.flatsta` and convert the arrays back into the
+  annotation dicts; the arrays are bitwise-identical to the dict
+  recurrences of :class:`Sta`, so everything downstream is unchanged.
+  A netlist the flat view cannot express raises
+  :class:`~repro.flat.view.FlatViewError`.
 * Required times and slacks are *lazy*: a refresh invalidates them and
   the first access recomputes them from the cached per-pin delays.  GDO
   trial evaluation reads only arrival/delay, so rejected trials never
@@ -54,6 +54,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..flat.flatsta import FlatTiming
+from ..flat.view import FlatView
 from ..library.cells import TechLibrary
 from ..netlist.netlist import Branch, Netlist
 from ..obs.metrics import NULL_REGISTRY
@@ -139,14 +141,10 @@ class IncrementalSta(Sta):
         po_load: float = 1.0,
         input_arrival: Optional[Dict[str, float]] = None,
         eps: float = 1e-6,
-        flat: bool = False,
     ):
         self.scratch_updates = 0
         self.incremental_updates = 0
         self.signals_touched = 0
-        self.flat = flat
-        self.flat_hits = 0
-        self.flat_fallbacks = 0
         super().__init__(net, library, po_load=po_load,
                          input_arrival=input_arrival, eps=eps)
 
@@ -177,63 +175,12 @@ class IncrementalSta(Sta):
     # full computation (overrides Sta._compute to cache per-pin delays)
     # ------------------------------------------------------------------
     def _compute(self) -> None:
-        if self.flat and self._compute_flat():
-            return
+        """Vectorized full recompute via :mod:`repro.flat.flatsta`; the
+        converted dicts are bitwise what :meth:`Sta._compute` derives."""
+        view = FlatView.build(self.net, library=self.library)
+        ft = FlatTiming(view, po_load=self.po_load,
+                        input_arrival=self.input_arrival)
         self.scratch_updates += 1
-        net, lib = self.net, self.library
-        load: Dict[str, float] = {}
-        arrival: Dict[str, float] = {}
-        pin_delays: Dict[str, List[float]] = {}
-        for sig in net.signals():
-            total = self.po_load * net.pos.count(sig)
-            for branch in net.fanouts(sig):
-                total += lib.gate_input_load(net.gates[branch.gate], branch.pin)
-            load[sig] = total
-        for pi in net.pis:
-            arrival[pi] = self.input_arrival.get(pi, 0.0)
-        order = net.topo_order()
-        for out in order:
-            gate = net.gates[out]
-            out_load = load[out]
-            pd = [
-                lib.gate_pin_timing(gate, pin).delay(out_load)
-                for pin in range(gate.nin)
-            ]
-            pin_delays[out] = pd
-            best = 0.0
-            for pin, sig in enumerate(gate.inputs):
-                t = arrival[sig] + pd[pin]
-                if t > best:
-                    best = t
-            arrival[out] = best
-        self.load = load
-        self.arrival = arrival
-        self._pin_delays = pin_delays
-        self._topo_pos = {s: k for k, s in enumerate(order)}
-        self.delay = max((arrival[po] for po in net.pos), default=0.0)
-        self._required_full()
-        self._ncp = None
-
-    def _compute_flat(self) -> bool:
-        """Vectorized full recompute via :mod:`repro.flat.flatsta`.
-
-        Returns False (after counting the fallback) when the net has no
-        flat representation; the caller then runs the dict pass.  The
-        converted dicts are bitwise-identical to the dict pass, so the
-        two paths are interchangeable mid-run.
-        """
-        from ..flat.flatsta import FlatTiming
-        from ..flat.view import FlatView, FlatViewError
-
-        try:
-            view = FlatView.build(self.net, library=self.library)
-            ft = FlatTiming(view, po_load=self.po_load,
-                            input_arrival=self.input_arrival)
-        except FlatViewError:
-            self.flat_fallbacks += 1
-            return False
-        self.scratch_updates += 1
-        self.flat_hits += 1
         self.load = ft.load_dict()
         self.arrival = ft.arrival_dict()
         self._pin_delays = ft.pin_delay_lists()
@@ -242,7 +189,6 @@ class IncrementalSta(Sta):
         self._required = ft.required_dict()
         self._slack = ft.slack_dict()
         self._ncp = None
-        return True
 
     def _required_full(self) -> None:
         """Rebuild required/slack from cached pin delays (no library calls)."""
@@ -289,8 +235,8 @@ class IncrementalSta(Sta):
         refresh.
 
         Pure function of ``(net, dirty)``, so the GDO engine journals
-        the trigger identically under every engine mode and worker
-        count (see ``EngineContext.begin_trial``).
+        the trigger identically under every worker count (see
+        ``EngineContext.begin_trial``).
         """
         if len(dirty) > cls.scratch_fraction * (len(net.gates) or 1):
             return "dirty_fraction"
@@ -540,9 +486,6 @@ class IncrementalSta(Sta):
         dup.scratch_updates = 0
         dup.incremental_updates = 0
         dup.signals_touched = 0
-        dup.flat = self.flat
-        dup.flat_hits = 0
-        dup.flat_fallbacks = 0
         dup.metrics = self.metrics
         dup.refresh(dirty, removed)
         return dup

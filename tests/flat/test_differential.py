@@ -20,7 +20,7 @@ from repro.flat.batchsim import (
     FlatObservabilityEngine, batch_observability, flat_simulate,
 )
 from repro.flat.flatsta import FlatTiming
-from repro.flat.view import FlatView
+from repro.flat.view import FlatView, FlatViewError
 from repro.library import mcnc_like
 from repro.netlist.edit import prune_dangling, structural_signature
 from repro.netlist.netlist import Branch
@@ -219,21 +219,19 @@ def test_flat_observability_engine_prefetch_matches_lazy(lib):
     refs = _pick_refs(net, random.Random(5))
     flat_eng = FlatObservabilityEngine(sim, state)
     flat_eng.prefetch(refs)
-    assert flat_eng.flat_hits == len(set(
+    assert flat_eng.computed == len(set(
         (r.gate, r.pin) if isinstance(r, Branch) else r for r in refs))
-    assert flat_eng.flat_fallbacks == 0
     lazy_eng = ObservabilityEngine(sim, state)
     for ref in refs:
         assert np.array_equal(flat_eng.observability(ref),
                               lazy_eng.observability(ref)), ref
-    # Prefetched rows count as computed: counters comparable flat on/off.
+    # Prefetched rows count as computed: counters comparable with lazy.
     assert flat_eng.computed == lazy_eng.computed
 
 
 def test_flat_observability_engine_falls_back_on_stale_sim(lib):
     """A sim snapshot predating a structural edit cannot be served by a
-    fresh view; prefetch must decline (counted) and leave the lazy dict
-    path to answer."""
+    fresh view; prefetch must raise rather than serve misaligned rows."""
     net = build("C432", small=True)
     lib.rebind(net)
     sim = BitSimulator(net)
@@ -242,6 +240,6 @@ def test_flat_observability_engine_falls_back_on_stale_sim(lib):
     net.add_gate(net.fresh_name("extra"), "INV", [net.pis[0]])
     net.invalidate()
     targets = sorted(sim.net.gates)[:4]
-    eng.prefetch(targets)
-    assert eng.flat_fallbacks == 1
-    assert eng.flat_hits == 0
+    with pytest.raises(FlatViewError, match="stale"):
+        eng.prefetch(targets)
+    assert eng.computed == 0

@@ -3,8 +3,8 @@
 The registry suite tops out near 2k gates; this generates a >10k-gate
 control netlist — a size class the default test run never touches — and
 asserts the flat path (a) stays bitwise-differential against the dict
-engine on sim + STA, and (b) commits the identical modification
-sequence through a truncated GDO budget.
+engines on sim + STA, and (b) keeps the GDO engine state equal to the
+reference engines after every commit of a truncated GDO budget.
 
 Gated behind ``-m slow`` (excluded by the default addopts); run with::
 
@@ -20,7 +20,6 @@ from repro.flat.batchsim import flat_simulate
 from repro.flat.flatsta import FlatTiming
 from repro.flat.view import FlatView
 from repro.library import mcnc_like
-from repro.netlist.edit import structural_signature
 from repro.sim import BitSimulator
 from repro.sim.vectors import random_words
 from repro.timing import Sta
@@ -56,25 +55,16 @@ def test_flat_kernels_differential_at_scale(big):
     assert ft.required_dict() == sta.required
 
 
-def test_flat_gdo_matches_dict_on_truncated_budget(big):
-    from repro.opt import GdoConfig, gdo_optimize
+def test_flat_gdo_matches_reference_on_truncated_budget(big, monkeypatch):
+    from repro.opt import GdoConfig
+    from tests.opt.test_gdo_determinism import run_with_oracle
 
     net, lib = big
-
-    def run(flat):
-        cfg = GdoConfig(
-            n_words=8, flat=flat, proof="none", verify_final=False,
-            max_rounds=1, max_passes_per_phase=2,
-            max_targets_per_pass=16, max_trials_per_pass=24,
-            area_phase=False,
-        )
-        return gdo_optimize(net.copy(), lib, cfg)
-
-    flat_run, dict_run = run(True), run(False)
-    assert [(m.kind, m.description) for m in flat_run.stats.history] == \
-           [(m.kind, m.description) for m in dict_run.stats.history]
-    assert flat_run.stats.delay_after == dict_run.stats.delay_after
-    assert structural_signature(flat_run.net) == \
-        structural_signature(dict_run.net)
-    assert flat_run.stats.engine.flat_hits > 0
-    assert dict_run.stats.engine.flat_hits == 0
+    # Default per-pass caps: tighter ones commit nothing on this net.
+    cfg = GdoConfig(
+        n_words=8, proof="none", verify_final=False,
+        max_rounds=1, max_passes_per_phase=2,
+    )
+    res, commits, _ = run_with_oracle(net.copy(), lib, cfg, monkeypatch)
+    assert res.stats.history, "no modifications; the check is vacuous"
+    assert commits == len(res.stats.history)

@@ -23,7 +23,6 @@ def _gdo_entry(key="abc123", circuit="C880"):
         "funnel": {"generated": 200, "static_proved": 3,
                    "static_refuted": 1, "to_bpfs": 196,
                    "bpfs_survived": 60, "proved": 40, "committed": 12},
-        "flat": {"hits": 150, "fallbacks": 1},
     }
 
 
@@ -44,7 +43,7 @@ def test_bench_entry_requires_key():
 
 def test_gdo_entry_schema_enforced():
     validate_gdo_entry(_gdo_entry())
-    for missing in ("circuit", "broker", "funnel", "hot_spans", "flat"):
+    for missing in ("circuit", "broker", "funnel", "hot_spans"):
         bad = _gdo_entry()
         del bad[missing]
         with pytest.raises(ExportSchemaError):
@@ -52,10 +51,6 @@ def test_gdo_entry_schema_enforced():
     bad = _gdo_entry()
     bad["funnel"].pop("proved")
     with pytest.raises(ExportSchemaError):
-        validate_gdo_entry(bad)
-    bad = _gdo_entry()
-    bad["flat"].pop("fallbacks")
-    with pytest.raises(ExportSchemaError, match="flat"):
         validate_gdo_entry(bad)
     bad = _gdo_entry()
     bad["hot_spans"] = [{"count": 1}]

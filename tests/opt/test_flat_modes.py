@@ -1,11 +1,12 @@
-"""GdoConfig.flat must change throughput, never results.
+"""The flat-kernel GDO engine: worker-count identity and reporting.
 
-Acceptance tests for the flat-kernel wiring: flat on/off and workers
-1≡4 commit the identical modification sequence with byte-identical
-journals, counters stay comparable between modes, the per-call fallback
-to the dict engine works mid-run, and the PI-fanout-root trial trigger
-(previously a silent event) is counted and journaled at a pinned,
-engine-mode-independent rate.
+Acceptance tests for the flat-kernel wiring: workers 1≡4 commit the
+identical modification sequence with byte-identical journals and equal
+engine counters, a netlist the flat view cannot express fails loudly
+instead of degrading, and the PI-fanout-root trial trigger (previously a
+silent event) is counted and journaled at a pinned rate.  Bitwise
+agreement with the reference engines is pinned per commit by
+``tests/opt/test_gdo_determinism.py::test_incremental_matches_scratch``.
 """
 
 import pytest
@@ -25,10 +26,9 @@ def lib():
     return mcnc_like()
 
 
-def _cfg(flat, workers=1, journal=True):
+def _cfg(workers=1, journal=True):
     return GdoConfig(
         n_words=8,
-        flat=flat,
         proof_workers=workers,
         verify_final=False,
         max_rounds=2,
@@ -62,84 +62,64 @@ def _journal(result):
 @pytest.fixture(scope="module")
 def c880_runs(lib):
     return {
-        "flat": _run("C880", _cfg(flat=True), lib),
-        "dict": _run("C880", _cfg(flat=False), lib),
-        "flat_w4": _run("C880", _cfg(flat=True, workers=4), lib),
+        "w1": _run("C880", _cfg(), lib),
+        "w4": _run("C880", _cfg(workers=4), lib),
     }
 
 
-def test_flat_on_off_equivalence_on_c880(c880_runs):
-    flat, dict_ = c880_runs["flat"], c880_runs["dict"]
-    assert flat.stats.history, "no modifications; equivalence is vacuous"
-    assert _fingerprint(flat) == _fingerprint(dict_)
-    assert _journal(flat) == _journal(dict_)
-
-
 def test_flat_counters_populated_and_comparable(c880_runs):
-    flat, dict_ = c880_runs["flat"], c880_runs["dict"]
-    assert flat.stats.engine.flat_hits > 0
-    assert flat.stats.engine.flat_fallbacks == 0
-    assert dict_.stats.engine.flat_hits == 0
-    # The batch path must not change *what* is computed, only how.
-    e_f, e_d = flat.stats.engine, dict_.stats.engine
-    assert e_f.obs_rows_computed == e_d.obs_rows_computed
-    assert e_f.sta_scratch == e_d.sta_scratch
-    assert e_f.sta_pi_root == e_d.sta_pi_root
+    w1, w4 = c880_runs["w1"], c880_runs["w4"]
+    # The proof pool must not change *what* the engine computes.
+    e1, e4 = w1.stats.engine, w4.stats.engine
+    assert e1.obs_rows_computed > 0 and e1.sim_incremental > 0
+    assert e1.obs_rows_computed == e4.obs_rows_computed
+    assert e1.sta_scratch == e4.sta_scratch
+    assert e1.sta_pi_root == e4.sta_pi_root
 
 
 def test_flat_workers_journal_identity(c880_runs):
-    flat, w4 = c880_runs["flat"], c880_runs["flat_w4"]
-    assert _fingerprint(flat) == _fingerprint(w4)
-    assert _journal(flat) == _journal(w4)
+    w1, w4 = c880_runs["w1"], c880_runs["w4"]
+    assert w1.stats.history, "no modifications; identity is vacuous"
+    assert _fingerprint(w1) == _fingerprint(w4)
+    assert _journal(w1) == _journal(w4)
     assert w4.stats.proofs_attempted > 0
 
 
-def test_report_and_export_show_flat_section(c880_runs, lib):
+def test_report_and_export_show_engine_section(c880_runs, lib):
     from repro.obs.export import gdo_entry, validate_gdo_entry
 
-    flat = c880_runs["flat"]
-    text = format_result(flat, lib)
-    assert "flat kernels:" in text
-    entry = gdo_entry(flat, key="test")
+    w1 = c880_runs["w1"]
+    text = format_result(w1, lib)
+    assert f"{w1.stats.engine.sta_pi_root} PI-root trials" in text
+    assert "flat kernels:" not in text
+    entry = gdo_entry(w1, key="test")
     validate_gdo_entry(entry)
-    assert entry["flat"]["hits"] == flat.stats.engine.flat_hits
-    assert entry["flat"]["fallbacks"] == flat.stats.engine.flat_fallbacks
-    dict_text = format_result(c880_runs["dict"], lib)
-    assert "flat kernels:" not in dict_text
+    assert "flat" not in entry
 
 
 def test_flat_fallback_path_is_exercised(lib, monkeypatch):
-    """Every FlatView.build failing mid-run must degrade per call to the
-    dict engine — same results, fallbacks counted."""
+    """A netlist the flat view cannot express must fail loudly — there
+    is no second engine to degrade to."""
     def boom(cls, net, library=None):
         raise FlatViewError("forced by test")
 
     monkeypatch.setattr(FlatView, "build", classmethod(boom))
-    broken = _run("C880", _cfg(flat=True), lib)
-    monkeypatch.undo()
-    reference = _run("C880", _cfg(flat=True), lib)
-    assert _fingerprint(broken) == _fingerprint(reference)
-    assert _journal(broken) == _journal(reference)
-    assert broken.stats.engine.flat_fallbacks > 0
-    assert broken.stats.engine.flat_hits == 0
+    with pytest.raises(FlatViewError, match="forced by test"):
+        _run("C880", _cfg(), lib)
 
 
 # Pinned on C432-small under _cfg: the count is a pure function of the
-# trial sequence, so any engine mode / flat setting must reproduce it.
+# trial sequence.
 _C432_PI_ROOT_TRIALS = 215
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_pi_root_trigger_pinned_on_c432(lib, incremental):
-    cfg = _cfg(flat=True)
-    cfg.incremental = incremental
-    result = _run("C432", cfg, lib)
+def test_pi_root_trigger_pinned_on_c432(lib):
+    result = _run("C432", _cfg(), lib)
     assert result.stats.engine.sta_pi_root == _C432_PI_ROOT_TRIALS
     records = [r for r in result.stats.obs.journal_records
                if r.get("type") == "sta_pi_root"]
     assert len(records) == _C432_PI_ROOT_TRIALS
     assert all(r["dirty"] > 0 for r in records)
-    if incremental:
-        # The fix keeps PI-root trials on the dirty-cone path: they are
-        # counted, not silently recomputed from scratch.
-        assert result.stats.engine.sta_incremental >= _C432_PI_ROOT_TRIALS
+    # PI-root trials stay on the dirty-cone path: they are counted, not
+    # silently recomputed from scratch.
+    assert result.stats.engine.sta_incremental >= _C432_PI_ROOT_TRIALS

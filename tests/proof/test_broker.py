@@ -71,20 +71,31 @@ def test_exhausted_ladder_yields_unknown_with_counters(monkeypatch):
 
 
 def test_unknown_not_served_from_persistent_store(tmp_path, monkeypatch):
-    path = str(tmp_path / "verdicts.json")
+    from repro.opt import GdoConfig
+
+    cfg = GdoConfig(proof_workers=1, proof_store_path=str(tmp_path / "s"))
     monkeypatch.setattr(backends_mod, "prove_pair",
                         lambda *a, **k: UNKNOWN)
-    broker = ProofBroker(mode="sat", workers=1, cache_path=path)
+    broker = cfg.make_broker()
     ob = _obligation(3)
-    broker.prove_batch([ob])
+    assert broker.prove_batch([ob]) == {ob.key: UNKNOWN}
     broker.close()
+    broker.cache.close()
 
     monkeypatch.undo()
-    fresh = ProofBroker(mode="sat", workers=1, cache_path=path)
+    fresh = cfg.make_broker()
     verdicts = fresh.prove_batch([ob])
     # A bigger-budget rerun must re-attempt, not replay the UNKNOWN.
     assert verdicts == {ob.key: VALID}
+    assert fresh.cache.shared_hits == 0
     fresh.close()
+
+    # The definitive verdict, by contrast, is served from the store.
+    warm = cfg.make_broker()
+    assert warm.prove_batch([ob]) == {ob.key: VALID}
+    assert warm.cache.shared_hits == 1
+    warm.close()
+    warm.cache.close()
 
 
 def test_parallel_and_serial_verdicts_agree():

@@ -1,6 +1,4 @@
-"""LRU behaviour and persistence policy of the verdict cache."""
-
-import json
+"""LRU behaviour of the in-memory verdict cache."""
 
 from repro.proof import ProofCache
 from repro.proof.backends import INVALID, UNKNOWN, VALID
@@ -26,88 +24,9 @@ def test_lru_get_refreshes_recency():
     assert cache.get("k1") == VALID
 
 
-def test_persistence_roundtrip_definitive_only(tmp_path):
-    path = str(tmp_path / "verdicts.json")
-    cache = ProofCache(max_entries=8, path=path)
-    cache.put("kv", VALID)
-    cache.put("ki", INVALID)
-    cache.put("ku", UNKNOWN)   # budget-relative: must not persist
-    cache.flush()
-
-    with open(path, encoding="utf-8") as fh:
-        on_disk = json.load(fh)
-    assert on_disk == {"kv": VALID, "ki": INVALID}
-
-    reloaded = ProofCache(max_entries=8, path=path)
-    assert reloaded.get("kv") == VALID
-    assert reloaded.get("ki") == INVALID
-    assert reloaded.get("ku") is None
-
-
-def test_corrupt_store_is_ignored(tmp_path):
-    path = tmp_path / "verdicts.json"
-    path.write_text("{not json")
-    cache = ProofCache(path=str(path))
-    assert cache.get("anything") is None
-    cache.put("k", VALID)
-    cache.flush()
-    assert json.loads(path.read_text()) == {"k": VALID}
-
-
-# ----------------------------------------------------------------------
-# concurrent flush: disk contents are merged, not clobbered
-# ----------------------------------------------------------------------
-def test_flush_merges_concurrent_writers(tmp_path):
-    """Two caches over one path: the second flush must not wipe the
-    first writer's verdicts (the pre-fix last-writer-wins bug)."""
-    path = str(tmp_path / "verdicts.json")
-    a = ProofCache(max_entries=8, path=path)
-    b = ProofCache(max_entries=8, path=path)  # loaded before a flushed
-    a.put("ka", VALID)
-    b.put("kb", INVALID)
-    a.flush()
-    b.flush()   # pre-fix: rewrote the file without "ka"
-
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh) == {"ka": VALID, "kb": INVALID}
-
-
-def test_flush_merge_is_idempotent_and_visible(tmp_path):
-    path = str(tmp_path / "verdicts.json")
-    a = ProofCache(max_entries=8, path=path)
-    a.put("k1", VALID)
-    a.flush()
-    a.flush()  # no-op: nothing dirty, file unchanged
-    b = ProofCache(max_entries=8, path=path)
-    b.put("k2", INVALID)
-    b.flush()
-    # a can pick up b's verdict by reloading.
-    c = ProofCache(max_entries=8, path=path)
-    assert c.get("k1") == VALID and c.get("k2") == INVALID
-
-
-def _flush_worker(path, tag, n):
-    cache = ProofCache(max_entries=n + 1, path=path)
-    for i in range(n):
-        cache.put(f"{tag}{i:03d}", VALID)
-    cache.flush()
-
-
-def test_flush_merge_under_process_concurrency(tmp_path):
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    path = str(tmp_path / "verdicts.json")
-    workers, per = 4, 25
-    procs = [
-        ctx.Process(target=_flush_worker, args=(path, f"w{w}", per))
-        for w in range(workers)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join()
-    assert all(p.exitcode == 0 for p in procs)
-    with open(path, encoding="utf-8") as fh:
-        merged = json.load(fh)
-    assert len(merged) == workers * per
+def test_lru_memoizes_unknown_within_the_process():
+    # Budgets are fixed within one process, so UNKNOWN is a sound memo
+    # here; only the sharded store refuses to persist it.
+    cache = ProofCache(max_entries=2)
+    cache.put("ku", UNKNOWN)
+    assert cache.get("ku") == UNKNOWN

@@ -37,13 +37,15 @@ def test_spec_rejects_unknown_format():
 
 
 def test_spec_rejects_unknown_override():
-    with pytest.raises(QueueError):
-        spec(not_a_knob=1).validate()
+    # proof_cache_path named the removed JSON verdict mirror.
+    for key in ("not_a_knob", "proof_cache_path"):
+        with pytest.raises(QueueError, match="unknown config override"):
+            spec(**{key: 1}).validate()
 
 
 def test_spec_rejects_service_owned_overrides():
-    for key in ("obs", "proof_store_path", "proof_cache_path"):
-        with pytest.raises(QueueError):
+    for key in ("obs", "proof_store_path"):
+        with pytest.raises(QueueError, match="service-owned"):
             spec(**{key: "x"}).validate()
 
 
