@@ -11,7 +11,9 @@ from .edit import (
     propagate_constants, prune_dangling, remove_gate, replace_input,
     set_branch_constant, substitute_stem, would_create_cycle,
 )
-from .traverse import cone_area, extract_cone, gates_between, mffc
+from .traverse import (
+    align_interfaces, cone_area, extract_cone, gates_between, mffc,
+)
 
 __all__ = [
     "ALL_FUNCS", "AND", "ANDN", "AOI21", "AOI22", "BUF", "CONST0", "CONST1",
@@ -22,5 +24,6 @@ __all__ = [
     "dirty_between", "find_inverted", "insert_gate", "insert_inverter",
     "propagate_constants", "prune_dangling", "remove_gate", "replace_input",
     "set_branch_constant", "substitute_stem", "would_create_cycle",
-    "cone_area", "extract_cone", "gates_between", "mffc",
+    "align_interfaces", "cone_area", "extract_cone", "gates_between",
+    "mffc",
 ]

@@ -44,20 +44,48 @@ def cone_area(net: Netlist, cone: Set[str], area_of) -> float:
 def extract_cone(
     net: Netlist, outputs: Sequence[str], name: str = "cone"
 ) -> Netlist:
-    """Standalone netlist computing ``outputs`` from the PIs they depend on."""
+    """Standalone netlist computing ``outputs`` from the PIs they depend on.
+
+    One walk from all outputs at once, sharing a single visited set, so
+    logic common to several outputs is visited once.  PIs keep their
+    order in ``net.pis`` and gates their order in ``net.topo_order()``.
+    """
+    gates = net.gates
     keep: Set[str] = set()
-    for out in outputs:
-        keep |= net.transitive_fanin(out)
+    stack = list(outputs)
+    while stack:
+        sig = stack.pop()
+        if sig in keep:
+            continue
+        keep.add(sig)
+        gate = gates.get(sig)
+        if gate is not None:
+            stack.extend(s for s in gate.inputs if s not in keep)
     sub = Netlist(name)
     for pi in net.pis:
         if pi in keep:
             sub.add_pi(pi)
     for out in net.topo_order():
         if out in keep:
-            gate = net.gates[out]
+            gate = gates[out]
             sub.add_gate(out, gate.func, list(gate.inputs), cell=gate.cell)
     sub.set_pos(list(outputs))
     return sub
+
+
+def align_interfaces(
+    l_cone: Netlist, r_cone: Netlist, pi_order: Sequence[str]
+) -> None:
+    """Give both cones the identical PI list (union, in ``pi_order``)."""
+    union = set(l_cone.pis) | set(r_cone.pis)
+    all_pis = [pi for pi in pi_order if pi in union]
+    for cone in (l_cone, r_cone):
+        have = set(cone.pis)
+        for pi in all_pis:
+            if pi not in have:
+                cone.add_pi(pi)
+        cone.pis = list(all_pis)
+        cone.invalidate()
 
 
 def structural_distance_ok(

@@ -19,7 +19,7 @@ GDO entry schema (validated by :func:`validate_gdo_entry`)::
       "phase_seconds": {"delay": f, ...},
       "hot_spans": [{"name": s, "count": n, "wall_s": f}, ...],
       "broker": {"dispatched": n, "cache_hits": n,
-                 "cache_misses": n, "hit_rate": f},
+                 "cache_misses": n, "hit_rate": f, "sim_invalid": n},
       "funnel": {"generated": n, "static_proved": n,
                  "static_refuted": n, "to_bpfs": n,
                  "bpfs_survived": n, "proved": n, "committed": n}
@@ -106,6 +106,7 @@ def gdo_entry(result, key: Optional[str] = None) -> dict:
             "cache_hits": p.cache_hits,
             "cache_misses": p.cache_misses,
             "hit_rate": p.hit_rate,
+            "sim_invalid": p.sim_invalid,
         },
         "funnel": funnel_counts(snapshot),
     }
@@ -133,7 +134,8 @@ _GDO_FIELDS = {
     "phase_seconds": dict, "hot_spans": list,
     "broker": dict, "funnel": dict,
 }
-_BROKER_FIELDS = ("dispatched", "cache_hits", "cache_misses", "hit_rate")
+_BROKER_FIELDS = ("dispatched", "cache_hits", "cache_misses", "hit_rate",
+                  "sim_invalid")
 _FUNNEL_FIELDS = ("generated", "static_proved", "static_refuted",
                   "to_bpfs", "bpfs_survived", "proved", "committed")
 

@@ -28,10 +28,10 @@ from ..analysis.static_refuter import PROVED, REFUTED, UNKNOWN
 from ..clauses.pvcc import Candidate
 from ..library.cells import TechLibrary
 from ..netlist.netlist import Branch, Netlist
-from ..netlist.traverse import extract_cone
+from ..netlist.traverse import align_interfaces, extract_cone
 from ..proof.backends import VALID
 from ..proof.broker import ProofBroker
-from ..proof.obligation import align_interfaces, build_obligation
+from ..proof.obligation import build_obligation
 from ..timing.sta import Sta
 from ..transform.substitution import (
     InplaceSubstitution, TransformError, affected_outputs,

@@ -73,7 +73,8 @@ def format_result(result: GdoResult, library: TechLibrary,
         f"({100 * p.hit_rate:.1f}%), {p.static_skips} static skips"
     )
     lines.append(
-        f"  proof backends: sat {p.sat_valid}/{p.sat_invalid}/"
+        f"  proof backends: sim {p.sim_invalid} refuted, "
+        f"sat {p.sat_valid}/{p.sat_invalid}/"
         f"{p.sat_unknown} bdd {p.bdd_valid}/{p.bdd_invalid}/"
         f"{p.bdd_unknown} (valid/invalid/unknown); "
         f"{p.retries} retries, {p.fallbacks} fallbacks, "

@@ -1,5 +1,6 @@
 """Batched, cached, multi-backend proving of PVCC obligations."""
 
+from ..netlist.traverse import align_interfaces
 from .backends import (
     INVALID, LadderSpec, UNKNOWN, VALID, bdd_verdict, prove_pair,
     prove_serialized, sat_verdict,
@@ -7,8 +8,7 @@ from .backends import (
 from .broker import ProofBroker, ProofCounters
 from .cache import ProofCache
 from .obligation import (
-    ProofObligation, align_interfaces, build_obligation,
-    obligation_from_nets,
+    ProofObligation, build_obligation, obligation_from_nets,
 )
 
 __all__ = [

@@ -7,10 +7,18 @@ Every backend call returns one of three verdicts instead of raising:
 * ``UNKNOWN`` — the per-call budget (CDCL conflicts, BDD nodes, or the
   optional wall-clock timeout) ran out before a verdict.
 
-``prove_serialized`` runs a whole *fallback ladder* for one obligation
-— primary backend at base budget, retry at an escalated budget, then
-the other backend — and is the unit of work shipped to pool workers.
-The cones are rebuilt from the obligation's canonical form, so the
+``prove_serialized`` is the unit of work shipped to pool workers.  It
+rebuilds the obligation's two cones from their canonical form, then:
+
+0. simulates ``SIM_WORDS`` random words on both cones, seeded by the
+   obligation key — an input that makes an output differ is a concrete
+   witness, so a refutation here is a sound ``INVALID`` and the formal
+   ladder is skipped (the paper's order: simulation filters, the proof
+   engine only sees the survivors);
+1. runs the *fallback ladder* — primary backend at base budget, retry
+   at an escalated budget, then the other backend.
+
+Both the cones and the simulation seed come from the key, so the
 verdict (budget behaviour included, timeouts excluded) is a pure
 function of the obligation key: parallel and serial runs agree.
 """
@@ -29,10 +37,17 @@ from ..faults import fault, fault_arg, register_point
 from ..netlist.netlist import Netlist
 from ..sat.miter import miter_equivalent
 from ..sat.solver import SolverBudgetExceeded
+from ..verify.equiv import random_sim_refutes
 
 VALID = "valid"
 INVALID = "invalid"
 UNKNOWN = "unknown"
+
+#: 64-bit words of random vectors simulated on each obligation before
+#: the ladder (rung 0).  On the C5315 benchmark configuration 8/16/32/64
+#: words left 5/6/2/0 of its 16 (all invalid) obligations for SAT, at
+#: ~40 ms of simulation per obligation.
+SIM_WORDS = 64
 
 #: fault points of the proving ladder (DESIGN.md §11).  All three are
 #: *fail-safe* by construction: a backend under fault only loses time
@@ -170,6 +185,22 @@ def prove_serialized(job) -> Tuple[str, str, Dict[str, int], dict]:
     def bump(name: str) -> None:
         tally[name] = tally.get(name, 0) + 1
 
+    def observe(backend: str, verdict: str, t0: float) -> None:
+        metrics.histogram("proof_attempt_seconds", backend=backend) \
+            .observe(time.perf_counter() - t0)
+        metrics.counter("proof_attempts", backend=backend,
+                        verdict=verdict).inc()
+        bump(f"{backend}_{verdict}")
+
+    # Rung 0: key-seeded simulation.  It can only answer INVALID, and
+    # only with a witness, so it carries no fault point: a fault could
+    # not make it wrong, only skip it.
+    t0 = time.perf_counter()
+    if random_sim_refutes(left, right, n_words=SIM_WORDS,
+                          seed=int(key[:16], 16)):
+        observe("sim", INVALID, t0)
+        return key, INVALID, tally, metrics.snapshot()
+
     rungs = spec.rungs()
     verdict = UNKNOWN
     for attempt, (backend, budget) in enumerate(rungs):
@@ -195,11 +226,7 @@ def prove_serialized(job) -> Tuple[str, str, Dict[str, int], dict]:
             # ladder / drops the candidate, it never flips a verdict.
             bump("flaky")
             verdict = UNKNOWN
-        metrics.histogram("proof_attempt_seconds", backend=backend) \
-            .observe(time.perf_counter() - t0)
-        metrics.counter("proof_attempts", backend=backend,
-                        verdict=verdict).inc()
-        bump(f"{backend}_{verdict}")
+        observe(backend, verdict, t0)
         if verdict != UNKNOWN:
             break
         if attempt + 1 < len(rungs):

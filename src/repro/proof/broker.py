@@ -57,6 +57,7 @@ class ProofCounters:
     cache_misses: int = 0
     dispatched: int = 0        # obligations actually sent to a ladder
     parallel_batches: int = 0  # pool dispatches
+    sim_invalid: int = 0       # refuted by key-seeded simulation (rung 0)
     sat_valid: int = 0
     sat_invalid: int = 0
     sat_unknown: int = 0

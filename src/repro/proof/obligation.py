@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..clauses.pvcc import Candidate
 from ..netlist.netlist import Branch, Netlist
-from ..netlist.traverse import extract_cone
+from ..netlist.traverse import align_interfaces, extract_cone
 from ..transform.substitution import affected_outputs
 
 # (pi tokens, po tokens, ((gate token, func name, input tokens), ...))
@@ -68,21 +68,6 @@ def _build(side: SerializedCone, name: str) -> Netlist:
         net.add_gate(out, func, list(ins))
     net.set_pos(list(pos))
     return net
-
-
-def align_interfaces(
-    l_cone: Netlist, r_cone: Netlist, pi_order: Sequence[str]
-) -> None:
-    """Give both cones the identical PI list (union, in ``pi_order``)."""
-    union = set(l_cone.pis) | set(r_cone.pis)
-    all_pis = [pi for pi in pi_order if pi in union]
-    for cone in (l_cone, r_cone):
-        have = set(cone.pis)
-        for pi in all_pis:
-            if pi not in have:
-                cone.add_pi(pi)
-        cone.pis = list(all_pis)
-        cone.invalidate()
 
 
 def _canonical_side(

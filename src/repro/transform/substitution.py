@@ -13,7 +13,7 @@ what keeps global optimization of large circuits feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..bdd.bdd import BddBudgetExceeded
 from ..bdd.circuit_bdd import bdd_equivalent
@@ -24,7 +24,6 @@ from ..netlist.edit import (
 )
 from ..netlist.gatefunc import INV
 from ..netlist.netlist import Branch, Gate, Netlist, NetlistError
-from ..netlist.traverse import extract_cone
 from ..sat.miter import miter_equivalent
 from ..sat.solver import SolverBudgetExceeded
 from ..clauses.pvcc import Candidate
@@ -334,23 +333,6 @@ def affected_outputs(net: Netlist, cand: Candidate) -> List[int]:
     tfo = net.transitive_fanout(root, include_self=True)
     tfo.add(root)
     return [i for i, po in enumerate(net.pos) if po in tfo]
-
-
-def _aligned_cones(
-    left: Netlist, right: Netlist, po_indices: Sequence[int]
-) -> Tuple[Netlist, Netlist]:
-    """Cone netlists for the selected POs with identical PI interfaces."""
-    l_cone = extract_cone(left, [left.pos[i] for i in po_indices], "left")
-    r_cone = extract_cone(right, [right.pos[i] for i in po_indices], "right")
-    all_pis = [pi for pi in left.pis if pi in set(l_cone.pis) | set(r_cone.pis)]
-    for cone in (l_cone, r_cone):
-        have = set(cone.pis)
-        for pi in all_pis:
-            if pi not in have:
-                cone.add_pi(pi)
-        cone.pis = [pi for pi in all_pis]
-        cone.invalidate()
-    return l_cone, r_cone
 
 
 def prove_candidate(

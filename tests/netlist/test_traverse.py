@@ -91,3 +91,48 @@ def test_structural_distance():
     assert structural_distance_ok(levels, "x", "y", None)
     assert structural_distance_ok(levels, "x", "y", 2)
     assert not structural_distance_ok(levels, "a", "y", 2)
+
+
+def _extract_cone_reference(net, outputs, name="cone"):
+    """The per-output ``transitive_fanin`` union that ``extract_cone``
+    replaced with one shared walk; kept as its behavioural reference."""
+    keep = set()
+    for out in outputs:
+        keep |= net.transitive_fanin(out)
+    sub = Netlist(name)
+    for pi in net.pis:
+        if pi in keep:
+            sub.add_pi(pi)
+    for out in net.topo_order():
+        if out in keep:
+            gate = net.gates[out]
+            sub.add_gate(out, gate.func, list(gate.inputs), cell=gate.cell)
+    sub.set_pos(list(outputs))
+    return sub
+
+
+def _layout(net):
+    return (net.name, net.pis, net.pos,
+            [(out, g.func.name, g.inputs, g.cell)
+             for out, g in net.gates.items()])
+
+
+def test_extract_cone_matches_per_output_reference():
+    import random
+
+    from repro.circuits import random_control
+
+    rnd = random.Random(5)
+    for _ in range(25):
+        net = random_control(rnd.randint(4, 16), rnd.randint(20, 120),
+                             rnd.randint(2, 8), seed=rnd.randrange(10**6),
+                             locality=rnd.randint(4, 20))
+        signals = list(net.pis) + net.topo_order()
+        for _ in range(4):
+            outputs = rnd.sample(signals, rnd.randint(1, min(6, len(signals))))
+            if rnd.random() < 0.3:
+                outputs.append(outputs[0])  # repeated outputs stay repeated
+            assert _layout(extract_cone(net, outputs, "c")) == \
+                _layout(_extract_cone_reference(net, outputs, "c"))
+        assert _layout(extract_cone(net, net.pos)) == \
+            _layout(_extract_cone_reference(net, net.pos))

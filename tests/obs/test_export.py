@@ -19,7 +19,8 @@ def _gdo_entry(key="abc123", circuit="C880"):
         "phase_seconds": {"delay": 2.0, "area": 1.25},
         "hot_spans": [{"name": "gdo.prove", "count": 40, "wall_s": 1.5}],
         "broker": {"dispatched": 40, "cache_hits": 5,
-                   "cache_misses": 35, "hit_rate": 0.125},
+                   "cache_misses": 35, "hit_rate": 0.125,
+                   "sim_invalid": 20},
         "funnel": {"generated": 200, "static_proved": 3,
                    "static_refuted": 1, "to_bpfs": 196,
                    "bpfs_survived": 60, "proved": 40, "committed": 12},
@@ -48,6 +49,10 @@ def test_gdo_entry_schema_enforced():
         del bad[missing]
         with pytest.raises(ExportSchemaError):
             validate_gdo_entry(bad)
+    bad = _gdo_entry()
+    bad["broker"].pop("sim_invalid")
+    with pytest.raises(ExportSchemaError, match="sim_invalid"):
+        validate_gdo_entry(bad)
     bad = _gdo_entry()
     bad["funnel"].pop("proved")
     with pytest.raises(ExportSchemaError):
