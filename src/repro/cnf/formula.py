@@ -11,7 +11,7 @@ negation is arithmetic negation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..netlist.netlist import Netlist
 
@@ -109,25 +109,45 @@ def encode_netlist(
     for out in net.topo_order():
         gate = net.gates[out]
         in_vars = [varmap[s] for s in gate.inputs]
-        if strash is not None:
-            key = _strash_key(gate.func, in_vars)
-            hit = strash.get(key)
-            if hit is not None:
-                varmap[out] = hit
-                continue
-            var = cnf.pool.var((tag, out))
-            strash[key] = var
-        else:
-            var = cnf.pool.var((tag, out))
-        varmap[out] = var
-        cnf.extend(gate.func.cnf(var, in_vars))
+        varmap[out], _ = encode_gate(cnf.pool, cnf.add, gate.func, in_vars,
+                                     (tag, out), strash)
     return cnf, varmap
+
+
+def encode_gate(
+    pool: VarPool,
+    add: Callable[[Clause], None],
+    func,
+    in_vars: List[int],
+    name: object,
+    strash: Optional[Dict[Tuple, int]] = None,
+) -> Tuple[int, bool]:
+    """Encode one gate ``func(in_vars)``; returns ``(var, fresh)``.
+
+    A ``strash`` hit returns the earlier gate's variable with ``fresh``
+    False and adds nothing.  Otherwise the output gets the variable of
+    ``name`` and its clauses go to ``add`` (``CNF.add``, or
+    ``Solver.add_clause`` for an incremental encoding).
+    """
+    if strash is not None:
+        key = strash_key(func, in_vars)
+        hit = strash.get(key)
+        if hit is not None:
+            return hit, False
+        var = pool.var(name)
+        strash[key] = var
+    else:
+        var = pool.var(name)
+    for clause in func.cnf(var, in_vars):
+        add(clause)
+    return var, True
 
 
 _COMMUTATIVE = {"AND", "NAND", "OR", "NOR", "XOR", "XNOR"}
 
 
-def _strash_key(func, in_vars) -> Tuple:
+def strash_key(func, in_vars) -> Tuple:
+    """Structural-hash key of a gate: function and operand variables."""
     if func.name in _COMMUTATIVE:
         return (func.name, tuple(sorted(in_vars)))
     return (func.name, tuple(in_vars))

@@ -255,6 +255,9 @@ class GdoStats:
     rounds: int = 0
     cpu_seconds: float = 0.0
     equivalent: Optional[bool] = None
+    # The final check's SAT sweep: merged/refuted/undecided pair counts
+    # and outputs_left for the output miter (empty when no sweep ran).
+    verify_sweep: Dict[str, int] = field(default_factory=dict)
     history: list = field(default_factory=list)
     engine: EngineCounters = field(default_factory=EngineCounters)
     proof: ProofCounters = field(default_factory=ProofCounters)

@@ -126,7 +126,7 @@ def gdo_optimize(
         with obs.span("gdo.verify"):
             stats.equivalent = check_equivalence(
                 net, work, n_words=cfg.verify_words, seed=cfg.seed,
-                max_conflicts=cfg.max_conflicts,
+                max_conflicts=cfg.max_conflicts, tally=stats.verify_sweep,
             )
         stats.phase_seconds["verify"] = time.perf_counter() - t0
     obs.journal.record(

@@ -43,8 +43,14 @@ def format_result(result: GdoResult, library: TechLibrary,
         f"{s.rounds} round(s); proofs {s.proofs_passed}/"
         f"{s.proofs_attempted} passed"
     )
-    lines.append(f"  cpu: {s.cpu_seconds:.2f}s   "
-                 f"equivalence verified: {s.equivalent}")
+    verdict = f"equivalence verified: {s.equivalent}"
+    sweep = s.verify_sweep
+    if sweep:
+        verdict += (f" (sweep: {sweep['merged']} merged, "
+                    f"{sweep['refuted']} refuted, {sweep['undecided']} "
+                    f"undecided pairs; {sweep['outputs_left']} outputs "
+                    f"to the miter)")
+    lines.append(f"  cpu: {s.cpu_seconds:.2f}s   {verdict}")
     delay_mods = sum(1 for r in s.history if r.phase == "delay")
     area_mods = len(s.history) - delay_mods
     lines.append(f"  phases: {delay_mods} delay-phase mods, "

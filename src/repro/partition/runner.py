@@ -335,7 +335,7 @@ def run_partitioned(
         with obs.span("partition.verify"):
             stats.equivalent = check_equivalence(
                 net, work, n_words=cfg.verify_words, seed=cfg.seed,
-                max_conflicts=cfg.max_conflicts,
+                max_conflicts=cfg.max_conflicts, tally=stats.verify_sweep,
             )
         stats.phase_seconds["verify"] = time.perf_counter() - t0
     obs.journal.record(

@@ -78,6 +78,19 @@ class Solver:
         seen = set(clause)
         if any(-l in seen for l in clause):
             return
+        if self.prop_head > 0:
+            # Incremental use: level-0 units are already propagated, so
+            # a clause whose watched literals are false there would
+            # never wake up.  Simplify it against level 0 instead.  A
+            # solver that has not propagated yet keeps its clauses as
+            # given, so one-shot searches are unaffected.
+            self._backtrack(0)
+            if any(self._lit_value(l) == TRUE for l in clause):
+                return
+            clause = [l for l in clause if self._lit_value(l) != FALSE]
+            if not clause:
+                self.ok = False
+                return
         if len(clause) == 1:
             if not self._enqueue(clause[0], None):
                 self.ok = False

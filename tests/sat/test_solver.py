@@ -151,3 +151,64 @@ def test_incremental_reuse():
     assert s.solve().sat
     s.add_clause([-2])
     assert not s.solve().sat
+
+
+def test_clause_added_after_level0_propagation():
+    # Both watched literals of the late clause are already false at
+    # level 0; it must still propagate 3 and then conflict with -3.
+    s = Solver()
+    s.add_clause([1])
+    s.add_clause([2])
+    assert s.solve().sat
+    s.add_clause([-1, -2, 3])
+    s.add_clause([-3])
+    assert not s.solve().sat
+
+
+def test_clause_added_after_unsat_under_assumptions():
+    # An UNSAT-under-assumptions return leaves the trail above level 0;
+    # a clause added then must not be simplified against the assumption.
+    s = Solver()
+    s.add_clause([1, 2])
+    s.add_clause([-1, 2])
+    assert not s.solve(assumptions=[-2]).sat
+    s.add_clause([2, 3])
+    result = s.solve()
+    assert result.sat and result.value(2)
+    assert s.solve(assumptions=[-3]).sat
+
+
+def _satisfied_by(model, clauses):
+    return all(any(model.value(abs(l)) == (l > 0) for l in cl)
+               for cl in clauses)
+
+
+def test_incremental_interleaving_vs_fresh_and_brute_force():
+    """Interleave solves (with and without assumptions) and clause
+    additions; every answer must match a fresh solver on the clauses so
+    far and brute force, and every model must satisfy them."""
+    rnd = random.Random(2024)
+    for trial in range(150):
+        n = rnd.randint(2, 7)
+        s = Solver(n)
+        clauses = []
+        for _step in range(rnd.randint(4, 24)):
+            if clauses and rnd.random() < 0.35:
+                assumptions = rnd.sample(
+                    [v * rnd.choice((1, -1)) for v in range(1, n + 1)],
+                    rnd.randint(0, min(3, n)))
+                fresh = Solver(n)
+                for cl in clauses:
+                    fresh.add_clause(cl)
+                got = s.solve(assumptions=assumptions)
+                want = fresh.solve(assumptions=assumptions).sat
+                with_units = clauses + [(a,) for a in assumptions]
+                assert got.sat == want == brute_force_sat(with_units, n), (
+                    trial, clauses, assumptions)
+                if got.sat:
+                    assert _satisfied_by(got, with_units)
+            else:
+                clause = tuple(rnd.choice((1, -1)) * rnd.randint(1, n)
+                               for _ in range(rnd.randint(1, 3)))
+                clauses.append(clause)
+                s.add_clause(clause)
